@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use feddrl::prelude::*;
 use feddrl_bench::{render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, Scale};
 use feddrl_net::prelude::*;
+use feddrl_sim::device::nearest_rank;
 use feddrl_sim::prelude::*;
 
 /// Liveness TTL / worker heartbeat for the process cell — short enough
@@ -46,18 +47,6 @@ fn target_max_ms(scale: Scale) -> f64 {
         Scale::Quick => 60.0,
         _ => 150.0,
     }
-}
-
-/// Nearest-rank percentile of `samples` for `pct` in `[0, 100]` (must be
-/// non-empty) — index `⌈pct/100 · N⌉ − 1`, the same definition
-/// `NetTelemetry::rtt_percentile_ms` and the fleet percentiles use.
-fn percentile(samples: &[f64], pct: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let idx = ((sorted.len() as f64 * (pct / 100.0)).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[idx]
 }
 
 /// The deterministic stub update both the workers and the simulator's
@@ -411,8 +400,10 @@ fn main() {
     let max_s = completion_s.iter().cloned().fold(0.0f64, f64::max);
     let ms_per_sim_s = target_max_ms(opts.scale) / max_s.max(1e-9);
     let delays_ms: Vec<f64> = completion_s.iter().map(|s| s * ms_per_sim_s).collect();
-    let pred_p50 = percentile(&delays_ms, 50.0);
-    let pred_p99 = percentile(&delays_ms, 99.0);
+    let mut sorted_ms = delays_ms.clone();
+    sorted_ms.sort_by(f64::total_cmp);
+    let pred_p50 = nearest_rank(&sorted_ms, 0.5);
+    let pred_p99 = nearest_rank(&sorted_ms, 0.99);
     println!(
         "fleet: skew {:.0}, completion {:.2}-{:.2} sim s, scaled at {:.1} ms per sim s \
          ({} params, {} B upload), workers as {}",

@@ -1,27 +1,27 @@
 //! Round executors: *which* sampled clients report back, and *when*.
 //!
-//! The paper's Algorithm 2 assumes the idealized synchronous setting —
-//! every sampled client trains and its update arrives instantly. Real
-//! federated deployments are dominated by device heterogeneity:
-//! stragglers, dropouts, and deadline-bounded rounds. [`RoundExecutor`]
-//! factors that concern out of the server loop:
+//! The paper's Algorithm 2 assumes every sampled client trains and its
+//! update arrives instantly; [`IdealExecutor`] reproduces that setting
+//! bit-for-bit (the default). Real deployments face stragglers, dropouts
+//! and churn, which the two simulated-fleet executors model on one
+//! private core. The core holds the lazy [`FleetView`], the §3.5 upload
+//! price, the dropout seed, the optional churn process, the
+//! [`ReliabilityTable`] and the model-version counter, and runs the four
+//! steps every round takes: *open* (advance churn to the round start),
+//! *admit* (departed → dropout, busy → skipped, seeded dropout draw, else
+//! dispatch), *account* (stamp staleness, update the telemetry, advance
+//! the version on aggregation) and *close* (write the round's
+//! [`HeteroRoundRecord`]). Each executor keeps only its timeline policy:
 //!
-//! * [`IdealExecutor`] reproduces the paper's setting bit-for-bit (the
-//!   default; histories are byte-identical to the pre-abstraction loop);
-//! * [`DeadlineExecutor`] runs each round through the discrete-event
-//!   heterogeneity engine (`feddrl_sim::{device, event}`): every sampled
-//!   client gets a seeded [`DeviceProfile`](feddrl_sim::device::DeviceProfile),
-//!   may drop out, and its upload-completion time — local compute plus
-//!   model upload over its link — is scheduled on an [`EventQueue`]. Only
-//!   updates arriving before the round deadline are aggregated; late ones
-//!   are dropped or carried into the next round ([`LatePolicy`]);
-//! * [`BufferedExecutor`] drops the round barrier entirely
-//!   (FedAsync/FedBuff-style): the virtual clock and event queue persist
-//!   across rounds, sampled clients start training immediately against
-//!   the current model version, and the server aggregates as soon as
-//!   `m = buffer_size` updates have arrived — a slow device's update lands
-//!   in a *later* aggregation, `s` model versions stale, and its impact
-//!   factor is scaled by a configurable [`StalenessDiscount`].
+//! * [`DeadlineExecutor`] replays each round on a round-local
+//!   [`EventQueue`] against the deadline. Predicted deadline-missers train
+//!   a structured-dropout sub-model or are forgone, and late updates are
+//!   dropped or carried into a later round ([`LatePolicy`]);
+//! * [`BufferedExecutor`] drops the round barrier (FedAsync/FedBuff-style):
+//!   its clock and event queue persist across rounds, and the server
+//!   aggregates as soon as `m = buffer_size` updates have arrived — a slow
+//!   device's update lands `s` model versions stale, its impact factor
+//!   scaled by a [`StalenessDiscount`].
 //!
 //! Determinism: dropout draws derive from `(seed, round, client id)` and
 //! device profiles from the fleet seed, so heterogeneity scenarios
@@ -34,8 +34,8 @@ use crate::history::HeteroRoundRecord;
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::churn::ChurnProcess;
 use feddrl_sim::comm::CommModel;
-use feddrl_sim::device::{DiurnalConfig, FleetConfig, FleetView};
-use feddrl_sim::event::{EventKind, EventQueue, VirtualClock};
+use feddrl_sim::device::{FleetConfig, FleetView};
+use feddrl_sim::event::{Event, EventKind, EventQueue, VirtualClock};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -300,10 +300,8 @@ pub struct BufferedConfig {
     /// the paper's pure Eq. 4 replacement.
     #[serde(default)]
     pub server_mix: Option<f64>,
-    /// Train dispatched clients in parallel (rayon) instead of one serial
-    /// `train` call. Bit-identical to the serial loop under a fixed seed
-    /// *provided* the train callback maps each client independently — true
-    /// for the session's per-client derived RNG streams. Off by default.
+    /// Train dispatched clients in parallel, as
+    /// [`HeteroConfig::parallel_dispatch`]. Off by default.
     #[serde(default)]
     pub parallel_dispatch: bool,
 }
@@ -715,41 +713,245 @@ impl RoundExecutor for IdealExecutor {
 /// training `0xC11E` and selection streams).
 const DROPOUT_SALT: u64 = 0xD20_0FF;
 
+/// The simulated fleet under [`DeadlineExecutor`] and
+/// [`BufferedExecutor`] (see the module docs): the state both carry and
+/// the per-round steps both take, around each one's timeline policy.
+struct FleetCore {
+    fleet: FleetView,
+    /// Per-client upload payload (model weights + metadata).
+    upload_bytes: u64,
+    /// Run seed, salting the per-round dropout draws.
+    seed: u64,
+    churn: Option<ChurnProcess>,
+    stats: ReliabilityTable,
+    /// Global-model versions produced so far — advanced only on
+    /// aggregation, so staleness counts versions, not calendar rounds.
+    version: usize,
+}
+
+/// One round's counters, filled by [`FleetCore::admit`] and the timeline
+/// policy, then written into the round's record by [`FleetCore::close`].
+#[derive(Default)]
+struct Tally {
+    round: usize,
+    start_s: f64,
+    /// Churn join/leave totals when the round opened.
+    joins: usize,
+    leaves: usize,
+    sim_time_s: f64,
+    dropouts: usize,
+    stragglers: usize,
+    carried_in: usize,
+    busy: usize,
+    buffered: usize,
+    masked: usize,
+}
+
+impl FleetCore {
+    fn new(
+        cfg: &FleetConfig,
+        n_clients: usize,
+        param_count: usize,
+        participants: usize,
+        seed: u64,
+    ) -> Self {
+        assert!(participants > 0, "participants must be positive");
+        let k = participants as u64;
+        let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
+        Self {
+            fleet: FleetView::new(n_clients, cfg),
+            upload_bytes: (traffic.uplink_models + traffic.uplink_metadata) / k,
+            seed,
+            churn: cfg
+                .churn
+                .as_ref()
+                .map(|c| ChurnProcess::new(n_clients, c, cfg.seed ^ seed)),
+            stats: ReliabilityTable::new(),
+            version: 0,
+        }
+    }
+
+    fn churn_totals(&self) -> (usize, usize) {
+        self.churn
+            .as_ref()
+            .map_or((0, 0), |c| (c.joins(), c.leaves()))
+    }
+
+    /// `client_id`'s completion time for a `keep_ratio` sub-model.
+    fn completion_s(&self, client_id: usize, keep_ratio: f64, start_s: f64) -> f64 {
+        let (profile, diurnal) = (self.fleet.profile(client_id), self.fleet.config().diurnal);
+        profile.completion_time_at(self.upload_bytes, keep_ratio, diurnal.as_ref(), start_s)
+    }
+
+    fn departed(&self, client_id: usize) -> bool {
+        self.churn.as_ref().is_some_and(|c| !c.is_active(client_id))
+    }
+
+    /// Advance churn to `t_s`, widen the fleet to any new ids, and return
+    /// the churn events passed.
+    fn advance_churn(&mut self, t_s: f64) -> Vec<Event> {
+        let Some(churn) = self.churn.as_mut() else {
+            return Vec::new();
+        };
+        let events = churn.advance_to(t_s);
+        self.fleet.grow(churn.universe());
+        events
+    }
+
+    /// Open round `round` at `start_s`: advance churn to it and start the
+    /// round's tally.
+    fn open(&mut self, round: usize, start_s: f64) -> Tally {
+        let (joins, leaves) = self.churn_totals();
+        self.advance_churn(start_s);
+        Tally {
+            round,
+            start_s,
+            joins,
+            leaves,
+            ..Tally::default()
+        }
+    }
+
+    /// Decide, before anyone trains, which `selected` clients dispatch. A
+    /// departed client reads as a dropout (the server cannot know the
+    /// device left); a busy one is skipped with no draw; the rest face the
+    /// seeded `(round, client)` dropout draw. `plan` turns a survivor, given
+    /// its completion time as a function of keep ratio, into its training
+    /// order, or `None` to forgo it unobserved.
+    fn admit(
+        &mut self,
+        tally: &mut Tally,
+        selected: &[usize],
+        is_busy: impl Fn(usize) -> bool,
+        mut plan: impl FnMut(usize, &dyn Fn(f64) -> f64) -> Option<Dispatch>,
+    ) -> Vec<Dispatch> {
+        let dropout_rng = Rng64::new(self.seed ^ DROPOUT_SALT).derive(tally.round as u64);
+        let (diurnal, upload_bytes) = (self.fleet.config().diurnal, self.upload_bytes);
+        let start_s = tally.start_s;
+        let mut dispatches = Vec::with_capacity(selected.len());
+        for &cid in selected {
+            if self.departed(cid) {
+                tally.dropouts += 1;
+                self.stats.entry(cid).dropouts += 1;
+                continue;
+            }
+            let profile = self.fleet.profile(cid);
+            if is_busy(cid) {
+                tally.busy += 1;
+                continue;
+            }
+            let p = profile.effective_dropout(diurnal.as_ref(), start_s);
+            if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
+                tally.dropouts += 1;
+                self.stats.entry(cid).dropouts += 1;
+            } else if let Some(d) = plan(cid, &|r| {
+                profile.completion_time_at(upload_bytes, r, diurnal.as_ref(), start_s)
+            }) {
+                self.stats.entry(cid).dispatches += 1;
+                dispatches.push(d);
+            }
+        }
+        dispatches
+    }
+
+    /// Aggregate `batch` (updates with the version each trained against):
+    /// stamp staleness, record telemetry, and advance the version if
+    /// anything was aggregated.
+    fn account(
+        &mut self,
+        batch: impl IntoIterator<Item = (ClientUpdate, usize)>,
+    ) -> Vec<ClientUpdate> {
+        let aggregated: Vec<ClientUpdate> = batch
+            .into_iter()
+            .map(|(mut u, trained_version)| {
+                u.staleness = self.version - trained_version;
+                let s = self.stats.entry(u.client_id);
+                s.aggregated += 1;
+                s.staleness_sum += u.staleness;
+                u
+            })
+            .collect();
+        if !aggregated.is_empty() {
+            self.version += 1;
+        }
+        aggregated
+    }
+
+    /// Close the round: write the tally, the churn deltas, the aggregated
+    /// ids and (if `staleness`) their staleness into the record.
+    fn close(&self, tally: Tally, updates: Vec<ClientUpdate>, staleness: bool) -> RoundOutcome {
+        let (joins, leaves) = self.churn_totals();
+        let hetero = HeteroRoundRecord {
+            sim_time_s: tally.sim_time_s,
+            dropouts: tally.dropouts,
+            stragglers: tally.stragglers,
+            carried_in: tally.carried_in,
+            busy: tally.busy,
+            buffered: tally.buffered,
+            joined: joins - tally.joins,
+            departed: leaves - tally.leaves,
+            masked: tally.masked,
+            staleness: if staleness {
+                updates.iter().map(|u| u.staleness).collect()
+            } else {
+                Vec::new()
+            },
+            aggregated_ids: updates.iter().map(|u| u.client_id).collect(),
+        };
+        RoundOutcome {
+            updates,
+            hetero: Some(hetero),
+        }
+    }
+}
+
+/// The [`RoundExecutor`] accessors both executors read off [`FleetCore`].
+macro_rules! fleet_core_accessors {
+    () => {
+        fn fleet(&self) -> Option<&FleetView> {
+            Some(&self.core.fleet)
+        }
+
+        fn upload_bytes(&self) -> u64 {
+            self.core.upload_bytes
+        }
+
+        fn reliability(&self) -> Option<&ReliabilityTable> {
+            Some(&self.core.stats)
+        }
+
+        fn universe(&self) -> Option<usize> {
+            self.core.churn.as_ref().map(|c| c.universe())
+        }
+
+        fn departed_clients(&self) -> Vec<usize> {
+            self.core
+                .churn
+                .as_ref()
+                .map_or_else(Vec::new, |c| c.departed_ids())
+        }
+    };
+}
+
 /// Deadline-bounded rounds over a seeded heterogeneous device fleet.
 pub struct DeadlineExecutor {
-    fleet: FleetView,
+    core: FleetCore,
     cfg: HeteroConfig,
-    upload_bytes: u64,
     participants: usize,
-    seed: u64,
-    /// Global-model versions produced so far: incremented only when a
-    /// round actually aggregates something, so staleness counts *model
-    /// versions* an update is behind, not calendar rounds (an empty round
-    /// leaves the global — and therefore every queued update's freshness —
-    /// untouched).
-    version: usize,
     /// Late updates awaiting a later round, each paired with the model
-    /// version it was trained against — the carry-in ages it by the
-    /// difference (only under [`LatePolicy::CarryOver`]).
+    /// version it was trained against (only under
+    /// [`LatePolicy::CarryOver`]).
     carried: Vec<(ClientUpdate, usize)>,
-    /// Observed per-client reliability telemetry (dropouts, dispatches,
-    /// aggregated updates and their staleness), keyed by observed client.
-    stats: ReliabilityTable,
-    /// Virtual seconds elapsed since the start of the run — the sum of
-    /// every finished round's `sim_time_s`. Rounds still replay on a
-    /// round-local event queue, but churn and diurnal modulation live on
-    /// this absolute timeline (0 forever when both are off, keeping the
-    /// static path byte-identical).
+    /// Virtual seconds since the start of the run — the sum of every
+    /// finished round's `sim_time_s`. Rounds replay on a round-local event
+    /// queue; churn and diurnal modulation live on this absolute timeline.
     clock_s: f64,
-    /// The fleet's arrival/departure process, when churn is configured.
-    churn: Option<ChurnProcess>,
 }
 
 impl DeadlineExecutor {
-    /// Build the executor: opens a lazy view over the device fleet
-    /// (profiles derive on demand — nothing is materialized up front) and
-    /// derives the per-client upload payload from the §3.5 communication
-    /// model (FedDRL traffic — model weights plus the two scalar losses).
+    /// Build the executor over a lazy view of the device fleet (nothing
+    /// is materialized up front), pricing each upload by the §3.5
+    /// communication model (model weights plus the two scalar losses).
     ///
     /// # Panics
     /// Panics on a non-positive deadline or a degenerate fleet config.
@@ -763,49 +965,28 @@ impl DeadlineExecutor {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        assert!(participants > 0, "participants must be positive");
-        let fleet = FleetView::new(n_clients, &cfg.fleet);
-        let k = participants as u64;
-        let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
-        let upload_bytes = (traffic.uplink_models + traffic.uplink_metadata) / k;
-        let churn = cfg
-            .fleet
-            .churn
-            .as_ref()
-            .map(|c| ChurnProcess::new(n_clients, c, cfg.fleet.seed ^ seed));
         Self {
-            fleet,
+            core: FleetCore::new(&cfg.fleet, n_clients, param_count, participants, seed),
             cfg,
-            upload_bytes,
             participants,
-            seed,
-            version: 0,
             carried: Vec::new(),
-            stats: ReliabilityTable::new(),
             clock_s: 0.0,
-            churn,
         }
     }
 
     /// Per-client upload payload in bytes (model weights + metadata).
     pub fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
+        self.core.upload_bytes
     }
 
     /// The lazy device-fleet view.
     pub fn fleet(&self) -> &FleetView {
-        &self.fleet
+        &self.core.fleet
     }
 }
 
 impl RoundExecutor for DeadlineExecutor {
-    fn fleet(&self) -> Option<&FleetView> {
-        Some(&self.fleet)
-    }
-
-    fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
+    fleet_core_accessors!();
 
     fn deadline_s(&self) -> Option<f64> {
         self.cfg.deadline_s
@@ -815,105 +996,50 @@ impl RoundExecutor for DeadlineExecutor {
         self.cfg.staleness
     }
 
-    fn reliability(&self) -> Option<&ReliabilityTable> {
-        Some(&self.stats)
-    }
-
     fn in_flight_clients(&self) -> Vec<usize> {
-        // Under `LatePolicy::CarryOver` a straggler's late update waits in
-        // the carried queue between rounds; re-dispatching its client
-        // would supersede (discard) that queued work, so selection
-        // policies should treat it as pending. Always empty under `Drop`.
+        // A carried-over update is pending: re-dispatching its client would
+        // supersede (discard) it. Always empty under `LatePolicy::Drop`.
         self.carried.iter().map(|(u, _)| u.client_id).collect()
-    }
-
-    fn universe(&self) -> Option<usize> {
-        self.churn.as_ref().map(|c| c.universe())
-    }
-
-    fn departed_clients(&self) -> Vec<usize> {
-        self.churn
-            .as_ref()
-            .map(|c| c.departed_ids())
-            .unwrap_or_default()
     }
 
     fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
         let deadline = self.cfg.deadline_s.unwrap_or(f64::INFINITY);
-        let round_start_s = self.clock_s;
-        let diurnal: Option<DiurnalConfig> = self.cfg.fleet.diurnal;
+        let start_s = self.clock_s;
+        let mut tally = self.core.open(round, start_s);
 
-        // --- Churn: bring the arrival/departure timeline up to the round
-        // start. Ids minted by now are selectable next round; ids departed
-        // by now waste their dispatch below.
-        let (joins_before, leaves_before) = self
-            .churn
-            .as_ref()
-            .map_or((0, 0), |c| (c.joins(), c.leaves()));
-        if let Some(churn) = self.churn.as_mut() {
-            churn.advance_to(round_start_s);
-            self.fleet.grow(churn.universe());
-        }
-
-        // --- Dropouts, decided up front: a dropped client never trains
-        // (its device failed the round), so its CPU is not simulated. A
-        // dispatch to a departed client is likewise a wasted slot — the
-        // server cannot know the device left until it fails to answer —
-        // and reads as a dropout, which is exactly how the departure
-        // surfaces in reliability telemetry. A client whose deterministic
-        // completion time already exceeds the deadline is a foregone
-        // straggler: structured dropout (when configured) shrinks its
-        // model until it fits; otherwise, under `Drop` its update would be
-        // trained only to be discarded, so skip the training too (under
-        // `CarryOver` the update is still needed).
-        let dropout_rng = Rng64::new(self.seed ^ DROPOUT_SALT).derive(round as u64);
-        let mut alive: Vec<Dispatch> = Vec::with_capacity(selected.len());
-        let mut dropouts = 0usize;
-        let mut foregone_stragglers = 0usize;
-        let mut masked = 0usize;
-        for &cid in selected {
-            if self.churn.as_ref().is_some_and(|c| !c.is_active(cid)) {
-                dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let profile = self.fleet.profile(cid);
-            let p = profile.effective_dropout(diurnal.as_ref(), round_start_s);
-            if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
-                dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let full_completion =
-                profile.completion_time_at(self.upload_bytes, 1.0, diurnal.as_ref(), round_start_s);
-            if full_completion > deadline {
-                if let Some(fit) = self.cfg.structured_dropout.as_ref().and_then(|sd| {
-                    sd.largest_fitting(deadline, |r| {
-                        profile.completion_time_at(
-                            self.upload_bytes,
-                            r,
-                            diurnal.as_ref(),
-                            round_start_s,
-                        )
-                    })
-                }) {
+        // --- Admission. A client whose deterministic completion time
+        // already exceeds the deadline is a foregone straggler: structured
+        // dropout (when configured) shrinks its model until it fits;
+        // otherwise, under `Drop` its update would be trained only to be
+        // discarded, so skip the training too (under `CarryOver` the
+        // update is still needed).
+        let (structured, late_policy) = (self.cfg.structured_dropout, self.cfg.late_policy);
+        let (mut masked, mut foregone_stragglers) = (0usize, 0usize);
+        let alive = self.core.admit(
+            &mut tally,
+            selected,
+            |_| false,
+            |cid, completion| {
+                if completion(1.0) <= deadline {
+                    Some(Dispatch::full(cid))
+                } else if let Some(keep_ratio) = structured
+                    .as_ref()
+                    .and_then(|sd| sd.largest_fitting(deadline, completion))
+                {
                     masked += 1;
-                    alive.push(Dispatch {
+                    Some(Dispatch {
                         client_id: cid,
-                        keep_ratio: fit,
-                    });
-                    self.stats.entry(cid).dispatches += 1;
-                } else if self.cfg.late_policy == LatePolicy::Drop {
+                        keep_ratio,
+                    })
+                } else if late_policy == LatePolicy::Drop {
                     foregone_stragglers += 1;
+                    None
                 } else {
-                    alive.push(Dispatch::full(cid));
-                    self.stats.entry(cid).dispatches += 1;
+                    Some(Dispatch::full(cid))
                 }
-                continue;
-            }
-            alive.push(Dispatch::full(cid));
-            self.stats.entry(cid).dispatches += 1;
-        }
+            },
+        );
+        tally.masked = masked;
 
         let updates = dispatch_train(train, &alive, self.cfg.parallel_dispatch);
 
@@ -927,21 +1053,13 @@ impl RoundExecutor for DeadlineExecutor {
                 d.client_id, u.client_id,
                 "train must preserve dispatch order"
             );
-            let completion_s = self.fleet.profile(u.client_id).completion_time_at(
-                self.upload_bytes,
-                d.keep_ratio,
-                diurnal.as_ref(),
-                round_start_s,
-            );
+            let completion_s = self.core.completion_s(u.client_id, d.keep_ratio, start_s);
             max_completion_s = max_completion_s.max(completion_s);
             queue.schedule(
                 completion_s,
                 EventKind::UploadComplete {
                     client_id: u.client_id,
-                    // The model version these uploads trained against —
-                    // advanced per aggregation, not per round, matching
-                    // the field's documented meaning.
-                    version: self.version,
+                    version: self.core.version,
                 },
             );
         }
@@ -963,13 +1081,10 @@ impl RoundExecutor for DeadlineExecutor {
             max_completion_s
         };
         let mut leave_at: BTreeMap<usize, f64> = BTreeMap::new();
-        if let Some(churn) = self.churn.as_mut() {
-            for ev in churn.advance_to(round_start_s + horizon_s) {
-                if let EventKind::ClientLeave { client_id } = ev.kind {
-                    leave_at.entry(client_id).or_insert(ev.time_s);
-                }
+        for ev in self.core.advance_churn(start_s + horizon_s) {
+            if let EventKind::ClientLeave { client_id } = ev.kind {
+                leave_at.entry(client_id).or_insert(ev.time_s);
             }
-            self.fleet.grow(churn.universe());
         }
 
         let mut clock = VirtualClock::new();
@@ -985,7 +1100,7 @@ impl RoundExecutor for DeadlineExecutor {
                     // moment still delivers it.
                     let canceled = leave_at
                         .get(&client_id)
-                        .is_some_and(|&t| t < round_start_s + event.time_s);
+                        .is_some_and(|&t| t < start_s + event.time_s);
                     if !canceled {
                         arrived_ids.push(client_id);
                         last_arrival_s = clock.now_s();
@@ -998,146 +1113,80 @@ impl RoundExecutor for DeadlineExecutor {
                 }
             }
         }
-        let stragglers = foregone_stragglers + (updates.len() - arrived_ids.len());
+        tally.stragglers = foregone_stragglers + (updates.len() - arrived_ids.len());
 
         // The server waits until the deadline whenever a sampled report is
         // missing (it cannot know the client dropped); otherwise the round
         // ends when the last expected upload lands. With an unbounded
         // deadline, dropouts are assumed to notify failure, so the round
         // still ends at the last arrival.
-        let sim_time_s = if deadline.is_finite() && (stragglers > 0 || dropouts > 0) {
+        tally.sim_time_s = if deadline.is_finite() && (tally.stragglers > 0 || tally.dropouts > 0) {
             deadline
         } else {
             last_arrival_s
         };
+        self.clock_s = start_s + tally.sim_time_s;
 
         // --- Split arrivals from stragglers, keeping sampling order (so an
         // unbounded no-dropout round reduces exactly to the ideal one).
-        let mut arrived = Vec::with_capacity(arrived_ids.len());
-        let mut late = Vec::new();
-        for u in updates {
-            if arrived_ids.contains(&u.client_id) {
-                arrived.push(u);
-            } else {
-                late.push(u);
-            }
-        }
+        let (arrived, late): (Vec<_>, Vec<_>) = updates
+            .into_iter()
+            .partition(|u| arrived_ids.contains(&u.client_id));
 
         // --- Carry-in: stale updates fill the round's spare capacity,
-        // oldest first, each aged by the rounds it waited (`staleness`
-        // drives the session's impact-factor discount). A fresh arrival
-        // discards its client's stale copy; stale updates that find no
-        // capacity stay queued for a later, shorter round.
-        let mut aggregated = Vec::new();
-        let mut carried_in = 0usize;
-        let mut still_queued = Vec::new();
-        for (mut stale, trained_version) in std::mem::take(&mut self.carried) {
-            if arrived.iter().any(|u| u.client_id == stale.client_id) {
-                continue; // superseded by this round's fresh report
-            }
-            if aggregated.len() + arrived.len() < self.participants {
-                stale.staleness = self.version - trained_version;
-                aggregated.push(stale);
-                carried_in += 1;
-            } else {
-                still_queued.push((stale, trained_version));
-            }
-        }
-        aggregated.extend(arrived);
-        self.carried = still_queued; // always empty under LatePolicy::Drop
-        if self.cfg.late_policy == LatePolicy::CarryOver {
+        // oldest first (their staleness drives the session's impact-factor
+        // discount). A fresh arrival discards its client's stale copy;
+        // stale updates that find no capacity stay queued for a later,
+        // shorter round. Always empty under `LatePolicy::Drop`.
+        self.carried
+            .retain(|(s, _)| !arrived.iter().any(|u| u.client_id == s.client_id));
+        let room = self.participants.saturating_sub(arrived.len());
+        let mut batch: Vec<_> = self.carried.drain(..room.min(self.carried.len())).collect();
+        tally.carried_in = batch.len();
+        let version = self.core.version;
+        batch.extend(arrived.into_iter().map(|u| (u, version)));
+        if late_policy == LatePolicy::CarryOver {
             // A newer late report supersedes its client's queued copy. A
             // departed client's late upload never reached the server, so
             // there is nothing to queue (its telemetry simply goes stale).
             for u in late {
-                if self
-                    .churn
-                    .as_ref()
-                    .is_some_and(|c| !c.is_active(u.client_id))
-                {
-                    continue;
+                if !self.core.departed(u.client_id) {
+                    self.carried.retain(|(s, _)| s.client_id != u.client_id);
+                    self.carried.push((u, version));
                 }
-                self.carried.retain(|(s, _)| s.client_id != u.client_id);
-                self.carried.push((u, self.version));
             }
             // Bound staleness: keep only the K most recent queued updates —
             // an unboundedly stale update would poison the aggregate.
-            if self.carried.len() > self.participants {
-                let excess = self.carried.len() - self.participants;
-                self.carried.drain(..excess);
-            }
+            let excess = self.carried.len().saturating_sub(self.participants);
+            self.carried.drain(..excess);
         }
 
-        // Per-update ages, recorded only when something stale was
+        // Per-update ages are recorded only when something stale was
         // aggregated (all-fresh rounds keep the pre-staleness JSON shape).
-        let staleness = if carried_in > 0 {
-            aggregated.iter().map(|u| u.staleness).collect()
-        } else {
-            Vec::new()
-        };
-        for u in &aggregated {
-            let s = self.stats.entry(u.client_id);
-            s.aggregated += 1;
-            s.staleness_sum += u.staleness;
-        }
-        if !aggregated.is_empty() {
-            self.version += 1; // the session will produce a new global
-        }
-        self.clock_s = round_start_s + sim_time_s;
-        let (joined, departed) = self.churn.as_ref().map_or((0, 0), |c| {
-            (c.joins() - joins_before, c.leaves() - leaves_before)
-        });
-        let hetero = HeteroRoundRecord {
-            sim_time_s,
-            dropouts,
-            stragglers,
-            carried_in,
-            busy: 0,
-            buffered: 0,
-            joined,
-            departed,
-            masked,
-            staleness,
-            aggregated_ids: aggregated.iter().map(|u| u.client_id).collect(),
-        };
-        RoundOutcome {
-            updates: aggregated,
-            hetero: Some(hetero),
-        }
+        let record_staleness = tally.carried_in > 0;
+        let aggregated = self.core.account(batch);
+        self.core.close(tally, aggregated, record_staleness)
     }
 }
 
 /// Buffered asynchronous aggregation over a seeded heterogeneous fleet
 /// (FedAsync/FedBuff-style): no round barrier, persistent virtual time.
 ///
-/// Unlike the round-scoped executors, the [`VirtualClock`] and
-/// [`EventQueue`] live across `execute` calls. Each call dispatches the
-/// newly sampled clients (they train against the *current* model version,
-/// i.e. the current round) and schedules their upload completions, then
-/// pops arrivals — which may include uploads dispatched in earlier rounds
-/// — until the buffer holds exactly `buffer_size` updates. Those updates
-/// are aggregated, each carrying `staleness = current version − trained
-/// version`, where the version counter advances only on actual
-/// aggregations (an empty round leaves the global untouched and ages
-/// nothing); if the buffer cannot fill, *nothing* is aggregated and the
-/// partial buffer persists, so every aggregation combines exactly
-/// `buffer_size` updates. A sampled client whose previous upload is still
-/// in flight *or parked in the buffer* is skipped for the round (its
-/// device is busy / its report is unconsumed) — no aggregation ever
-/// double-counts one client's data.
+/// The [`VirtualClock`] and [`EventQueue`] live across `execute` calls.
+/// Each call dispatches the newly sampled clients against the current
+/// model version, then pops arrivals — possibly dispatched in earlier
+/// rounds — until the buffer holds exactly `buffer_size` updates, which
+/// are aggregated; if it cannot fill, *nothing* is aggregated and the
+/// partial buffer persists. A client whose previous upload is still in
+/// flight *or parked in the buffer* is busy and skipped, so no
+/// aggregation double-counts one client's data.
 pub struct BufferedExecutor {
-    fleet: FleetView,
+    core: FleetCore,
     cfg: BufferedConfig,
-    upload_bytes: u64,
-    seed: u64,
     /// Virtual time since the start of the *run* (not the round).
     clock: VirtualClock,
     /// Pending upload completions, across model versions.
     queue: EventQueue,
-    /// Global-model versions produced so far (aggregations completed) —
-    /// what dispatches are stamped with and staleness is measured
-    /// against.
-    version: usize,
     /// Dispatched updates whose uploads have not completed yet, each with
     /// the model version it trains against.
     in_flight: Vec<(ClientUpdate, usize)>,
@@ -1145,19 +1194,10 @@ pub struct BufferedExecutor {
     /// each with the model version it was trained against. Never holds
     /// `buffer_size` or more entries between rounds.
     buffer: Vec<(ClientUpdate, usize)>,
-    /// Observed per-client reliability telemetry (dropouts, dispatches,
-    /// aggregated updates and their staleness), keyed by observed client.
-    stats: ReliabilityTable,
-    /// The fleet's arrival/departure process, when churn is configured —
-    /// advanced along the executor's own persistent clock.
-    churn: Option<ChurnProcess>,
 }
 
 impl BufferedExecutor {
-    /// Build the executor: opens a lazy view over the device fleet
-    /// (profiles derive on demand — nothing is materialized up front) and
-    /// derives the per-client upload payload from the §3.5 communication
-    /// model, like [`DeadlineExecutor::new`].
+    /// Build the executor like [`DeadlineExecutor::new`].
     ///
     /// # Panics
     /// Panics on a config [`BufferedConfig::validate`] rejects (zero or
@@ -1172,40 +1212,26 @@ impl BufferedExecutor {
         if let Err(e) = cfg.validate(participants) {
             panic!("{e}");
         }
-        let fleet = FleetView::new(n_clients, &cfg.fleet);
-        let k = participants as u64;
-        let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
-        let upload_bytes = (traffic.uplink_models + traffic.uplink_metadata) / k;
-        let churn = cfg
-            .fleet
-            .churn
-            .as_ref()
-            .map(|c| ChurnProcess::new(n_clients, c, cfg.fleet.seed ^ seed));
         Self {
-            fleet,
+            core: FleetCore::new(&cfg.fleet, n_clients, param_count, participants, seed),
             cfg,
-            upload_bytes,
-            seed,
-            churn,
             clock: VirtualClock::new(),
             // At most `participants` uploads are ever pending: sized once,
             // steady-state scheduling never reallocates, whatever N is.
             queue: EventQueue::with_capacity(participants + 1),
-            version: 0,
             in_flight: Vec::new(),
             buffer: Vec::new(),
-            stats: ReliabilityTable::new(),
         }
     }
 
     /// Per-client upload payload in bytes (model weights + metadata).
     pub fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
+        self.core.upload_bytes
     }
 
     /// The lazy device-fleet view.
     pub fn fleet(&self) -> &FleetView {
-        &self.fleet
+        &self.core.fleet
     }
 
     /// Updates dispatched but not yet arrived at the server.
@@ -1220,13 +1246,7 @@ impl BufferedExecutor {
 }
 
 impl RoundExecutor for BufferedExecutor {
-    fn fleet(&self) -> Option<&FleetView> {
-        Some(&self.fleet)
-    }
-
-    fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
+    fleet_core_accessors!();
 
     fn staleness_discount(&self) -> StalenessDiscount {
         self.cfg.staleness
@@ -1247,86 +1267,30 @@ impl RoundExecutor for BufferedExecutor {
             .collect()
     }
 
-    fn reliability(&self) -> Option<&ReliabilityTable> {
-        Some(&self.stats)
-    }
-
-    fn universe(&self) -> Option<usize> {
-        self.churn.as_ref().map(|c| c.universe())
-    }
-
-    fn departed_clients(&self) -> Vec<usize> {
-        self.churn
-            .as_ref()
-            .map(|c| c.departed_ids())
-            .unwrap_or_default()
-    }
-
     fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
-        let round_start_s = self.clock.now_s();
-        let diurnal: Option<DiurnalConfig> = self.cfg.fleet.diurnal;
+        let start_s = self.clock.now_s();
+        let mut tally = self.core.open(round, start_s);
 
-        // --- Churn: bring the arrival/departure timeline up to the
-        // persistent clock before dispatching (the drain loop below keeps
-        // advancing it event by event).
-        let (joins_before, leaves_before) = self
-            .churn
-            .as_ref()
-            .map_or((0, 0), |c| (c.joins(), c.leaves()));
-        if let Some(churn) = self.churn.as_mut() {
-            churn.advance_to(round_start_s);
-            self.fleet.grow(churn.universe());
-        }
-
-        // --- Dispatch: a departed client's slot is wasted (the server
-        // cannot know the device left — the failure reads as a dropout);
-        // skip busy devices (still uploading an earlier version, or with
-        // an unconsumed report parked in the buffer — redispatching those
-        // would let one client fill several slots of a single aggregation)
-        // and per-round seeded dropouts, then start everyone else training
+        // --- Dispatch: skip busy devices (still uploading an earlier
+        // version, or with an unconsumed report parked in the buffer —
+        // redispatching those would let one client fill several slots of
+        // a single aggregation) and start everyone admitted training
         // against the current model version.
-        let dropout_rng = Rng64::new(self.seed ^ DROPOUT_SALT).derive(round as u64);
-        let mut alive: Vec<Dispatch> = Vec::with_capacity(selected.len());
-        let mut dropouts = 0usize;
-        let mut busy = 0usize;
-        for &cid in selected {
-            if self.churn.as_ref().is_some_and(|c| !c.is_active(cid)) {
-                dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let profile = self.fleet.profile(cid);
-            if self.in_flight.iter().any(|(u, _)| u.client_id == cid)
-                || self.buffer.iter().any(|(u, _)| u.client_id == cid)
-            {
-                busy += 1;
-            } else {
-                let p = profile.effective_dropout(diurnal.as_ref(), round_start_s);
-                if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
-                    dropouts += 1;
-                    self.stats.entry(cid).dropouts += 1;
-                } else {
-                    alive.push(Dispatch::full(cid));
-                    self.stats.entry(cid).dispatches += 1;
-                }
-            }
-        }
-        let version = self.version;
+        let busy: Vec<usize> = self.in_flight_clients();
+        let alive = self.core.admit(
+            &mut tally,
+            selected,
+            |cid| busy.contains(&cid),
+            |cid, _| Some(Dispatch::full(cid)),
+        );
+        let version = self.core.version;
         for u in dispatch_train(train, &alive, self.cfg.parallel_dispatch) {
-            let arrival_s = self.clock.now_s()
-                + self.fleet.profile(u.client_id).completion_time_at(
-                    self.upload_bytes,
-                    1.0,
-                    diurnal.as_ref(),
-                    round_start_s,
-                );
-            self.queue.schedule(
-                arrival_s,
-                EventKind::UploadComplete {
-                    client_id: u.client_id,
-                    version,
-                },
-            );
+            let arrival_s = start_s + self.core.completion_s(u.client_id, 1.0, start_s);
+            let kind = EventKind::UploadComplete {
+                client_id: u.client_id,
+                version,
+            };
+            self.queue.schedule(arrival_s, kind);
             self.in_flight.push((u, version));
         }
 
@@ -1336,7 +1300,6 @@ impl RoundExecutor for BufferedExecutor {
         // timeline advances in lock-step with the clock: an upload whose
         // client departed before it landed is lost in transit — counted a
         // straggler, never buffered.
-        let mut lost = 0usize;
         while self.buffer.len() < self.cfg.buffer_size {
             let Some(event) = self.queue.pop() else { break };
             self.clock.advance_to(event.time_s);
@@ -1348,62 +1311,26 @@ impl RoundExecutor for BufferedExecutor {
                 .iter()
                 .position(|(u, v)| u.client_id == client_id && *v == version)
                 .expect("upload event without a matching in-flight update");
-            if let Some(churn) = self.churn.as_mut() {
-                churn.advance_to(event.time_s);
-                if !churn.is_active(client_id) {
-                    self.in_flight.swap_remove(idx);
-                    lost += 1;
-                    continue;
-                }
+            let arrival = self.in_flight.swap_remove(idx);
+            self.core.advance_churn(event.time_s);
+            if self.core.departed(client_id) {
+                tally.stragglers += 1;
+            } else {
+                self.buffer.push(arrival);
             }
-            self.buffer.push(self.in_flight.swap_remove(idx));
-        }
-        // The drain advanced churn past the dispatch instant: widen the
-        // fleet view to any ids minted meanwhile, so next round's
-        // selection can derive their profiles.
-        if let Some(churn) = self.churn.as_ref() {
-            self.fleet.grow(churn.universe());
         }
 
         // --- Aggregate exactly `buffer_size` updates, or nothing: a
         // partial buffer persists (the server keeps waiting while the
-        // session records an empty round). Aggregating bumps the model
-        // version — an empty round does not, so freshness is measured in
-        // actual global-model steps.
-        let mut aggregated = Vec::new();
-        let mut staleness = Vec::new();
-        if self.buffer.len() == self.cfg.buffer_size {
-            for (mut u, trained_version) in self.buffer.drain(..) {
-                u.staleness = self.version - trained_version;
-                staleness.push(u.staleness);
-                let s = self.stats.entry(u.client_id);
-                s.aggregated += 1;
-                s.staleness_sum += u.staleness;
-                aggregated.push(u);
-            }
-            self.version += 1;
-        }
-
-        let (joined, departed) = self.churn.as_ref().map_or((0, 0), |c| {
-            (c.joins() - joins_before, c.leaves() - leaves_before)
-        });
-        let hetero = HeteroRoundRecord {
-            sim_time_s: self.clock.now_s() - round_start_s,
-            dropouts,
-            stragglers: lost,
-            carried_in: 0,
-            busy,
-            buffered: self.buffer.len(),
-            joined,
-            departed,
-            masked: 0,
-            staleness,
-            aggregated_ids: aggregated.iter().map(|u| u.client_id).collect(),
+        // session records an empty round).
+        let aggregated = if self.buffer.len() == self.cfg.buffer_size {
+            self.core.account(self.buffer.drain(..))
+        } else {
+            Vec::new()
         };
-        RoundOutcome {
-            updates: aggregated,
-            hetero: Some(hetero),
-        }
+        tally.sim_time_s = self.clock.now_s() - start_s;
+        tally.buffered = self.buffer.len();
+        self.core.close(tally, aggregated, true)
     }
 }
 
@@ -2073,12 +2000,18 @@ mod tests {
         // Re-sampling the departed clients wastes every slot as a dropout
         // — the server only learns of a departure by dispatches that stop
         // answering, which is exactly what the telemetry records.
-        let before: usize = departed.iter().map(|&c| ex.stats.get(c).dropouts).sum();
+        let before: usize = departed
+            .iter()
+            .map(|&c| ex.core.stats.get(c).dropouts)
+            .sum();
         let o1 = ex.execute(1, &departed, &stub_train);
         let h1 = o1.hetero.unwrap();
         assert_eq!(h1.dropouts, departed.len());
         assert!(o1.updates.is_empty());
-        let after: usize = departed.iter().map(|&c| ex.stats.get(c).dropouts).sum();
+        let after: usize = departed
+            .iter()
+            .map(|&c| ex.core.stats.get(c).dropouts)
+            .sum();
         assert_eq!(after - before, departed.len());
     }
 
@@ -2102,7 +2035,7 @@ mod tests {
         let o1 = ex.execute(1, &[newcomer], &stub_train);
         assert_eq!(o1.updates.len(), 1);
         assert_eq!(o1.updates[0].client_id, newcomer);
-        assert_eq!(ex.stats.get(newcomer).dispatches, 1);
+        assert_eq!(ex.core.stats.get(newcomer).dispatches, 1);
     }
 
     #[test]

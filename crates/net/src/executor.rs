@@ -51,7 +51,7 @@ use feddrl_fl::executor::{
 };
 use feddrl_fl::history::HeteroRoundRecord;
 use feddrl_nn::model::Sequential;
-use feddrl_sim::device::FleetView;
+use feddrl_sim::device::{nearest_rank, FleetView};
 
 use crate::server::{MaskedWireInfo, NetServer, PublishStats};
 use crate::wire::{Message, UpdateMsg};
@@ -93,9 +93,8 @@ pub struct NetTelemetry {
 
 impl NetTelemetry {
     /// The `pct`-percentile (in `[0, 1]`) of observed RTTs in
-    /// milliseconds — nearest-rank on the sorted samples (index
-    /// `⌈pct · N⌉ − 1`), the same quantile convention as
-    /// `feddrl_sim`'s `completion_percentile_s`, so measured-vs-predicted
+    /// milliseconds by [`nearest_rank`] — the rule the simulator's
+    /// `completion_percentile_s` uses, so measured-vs-predicted
     /// comparisons compare like with like; 0.0 when empty.
     ///
     /// # Panics
@@ -106,17 +105,8 @@ impl NetTelemetry {
             return 0.0;
         }
         let mut sorted = self.rtt_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("RTTs are finite"));
-        let idx = ((sorted.len() as f64 * pct).ceil() as usize)
-            .saturating_sub(1)
-            .min(sorted.len() - 1);
-        sorted[idx]
-    }
-
-    /// The `pct`-th percentile of observed RTTs with `pct` in `[0, 100]`.
-    #[deprecated(note = "use `rtt_percentile_ms` (quantile in [0, 1]) instead")]
-    pub fn percentile_rtt_ms(&self, pct: f64) -> f64 {
-        self.rtt_percentile_ms(pct / 100.0)
+        sorted.sort_by(f64::total_cmp);
+        nearest_rank(&sorted, pct)
     }
 
     /// Median observed round-trip time in milliseconds.
@@ -585,11 +575,6 @@ mod tests {
         assert_eq!(t.p99_rtt_ms(), 99.0);
         assert_eq!(t.rtt_percentile_ms(0.0), 1.0);
         assert_eq!(t.rtt_percentile_ms(1.0), 100.0);
-        // The deprecated percent-valued accessor stays a thin wrapper.
-        #[allow(deprecated)]
-        {
-            assert_eq!(t.percentile_rtt_ms(50.0), t.rtt_percentile_ms(0.5));
-        }
         // Odd N keeps the textbook median.
         let t = NetTelemetry {
             rtt_ms: vec![9.0, 1.0, 5.0],

@@ -561,19 +561,16 @@ impl FleetView {
     }
 
     /// The `pct`-percentile (in `[0, 1]`) of the fleet's completion times
-    /// for an `upload_bytes` payload — nearest-rank on the sorted times
-    /// (index `⌈pct · N⌉ − 1`, matching [`Fleet::completion_percentile_s`]
-    /// and `feddrl_net`'s RTT percentiles). O(n log n) compute with an
-    /// O(n) *transient* buffer — a setup-time helper for deadline
-    /// placement, not a per-round operation; does not count toward
-    /// [`FleetView::derivations`].
+    /// for an `upload_bytes` payload, by [`nearest_rank`]. O(n log n)
+    /// compute with an O(n) *transient* buffer — a setup-time helper for
+    /// deadline placement, not a per-round operation; does not count
+    /// toward [`FleetView::derivations`].
     pub fn completion_percentile_s(&self, upload_bytes: u64, pct: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&pct), "percentile must be in [0, 1]");
         let mut times: Vec<f64> = (0..self.n)
             .map(|i| derive_profile(&self.cfg, &self.master, i).completion_time_s(upload_bytes))
             .collect();
         times.sort_by(f64::total_cmp);
-        times[nearest_rank(times.len(), pct)]
+        nearest_rank(&times, pct)
     }
 
     /// Materialize the view into an eager [`Fleet`] (derives all `n`
@@ -650,32 +647,31 @@ impl Fleet {
 
     /// The `pct`-percentile (in `[0, 1]`) of the fleet's completion times
     /// for an `upload_bytes` payload — a principled way to pick a round
-    /// deadline ("wait for the fastest 70%"). Nearest-rank on the sorted
-    /// times (index `⌈pct · N⌉ − 1`, matching
-    /// [`FleetView::completion_percentile_s`] and `feddrl_net`'s RTT
-    /// percentiles).
+    /// deadline ("wait for the fastest 70%"), by [`nearest_rank`].
     pub fn completion_percentile_s(&self, upload_bytes: u64, pct: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&pct), "percentile must be in [0, 1]");
         let mut times: Vec<f64> = self
             .profiles
             .iter()
             .map(|p| p.completion_time_s(upload_bytes))
             .collect();
         times.sort_by(f64::total_cmp);
-        times[nearest_rank(times.len(), pct)]
+        nearest_rank(&times, pct)
     }
 }
 
-/// Nearest-rank percentile index over `n` sorted samples for a quantile
-/// `pct ∈ [0, 1]`: the smallest index whose rank covers `pct` of the
-/// samples, `⌈pct · n⌉ − 1` (clamped so `pct = 0` reads the minimum and
-/// `pct = 1` the maximum). `feddrl_net`'s `rtt_percentile_ms` implements
-/// the identical definition on the identical `[0, 1]` input — measured
-/// RTTs read against predicted completion times with no conversion.
-fn nearest_rank(n: usize, pct: f64) -> usize {
-    ((n as f64 * pct).ceil() as usize)
+/// Nearest-rank quantile of the ascending `sorted` samples for
+/// `q ∈ [0, 1]`: index `⌈q · n⌉ − 1`, clamped to the samples. The
+/// workspace's one percentile rule (fleet completion times, measured RTTs).
+///
+/// # Panics
+/// Panics when `q` is outside `[0, 1]` or `sorted` is empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "percentile must be in [0, 1]");
+    assert!(!sorted.is_empty(), "percentile of an empty sample");
+    let n = sorted.len();
+    sorted[((n as f64 * q).ceil() as usize)
         .saturating_sub(1)
-        .min(n - 1)
+        .min(n - 1)]
 }
 
 #[cfg(test)]
