@@ -17,7 +17,7 @@
 //!   selection and dispatch consult candidates only, so this stays
 //!   proportional to candidate-pool draws, never to N.
 //!
-//! Client training runs through the executor's rayon-parallel dispatch
+//! Client training runs through the executor's thread-parallel dispatch
 //! (`parallel_dispatch: true`), which `tests/scale_props.rs` proves
 //! bit-identical to the serial path under a fixed seed.
 

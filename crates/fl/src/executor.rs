@@ -31,12 +31,12 @@ use std::collections::BTreeMap;
 
 use crate::client::ClientUpdate;
 use crate::history::HeteroRoundRecord;
+use feddrl_nn::parallel::par_map;
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::churn::ChurnProcess;
 use feddrl_sim::comm::CommModel;
 use feddrl_sim::device::{FleetConfig, FleetView};
 use feddrl_sim::event::{Event, EventKind, EventQueue, VirtualClock};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How an update's impact factor is scaled by its staleness `s` — the
@@ -231,10 +231,12 @@ pub struct HeteroConfig {
     /// reinjects them at full weight, the pre-discount behavior).
     #[serde(default)]
     pub staleness: StalenessDiscount,
-    /// Train dispatched clients in parallel (rayon) instead of one serial
-    /// `train` call. Bit-identical to the serial loop under a fixed seed
-    /// *provided* the train callback maps each client independently — true
-    /// for the session's per-client derived RNG streams. Off by default.
+    /// Train dispatched clients in parallel (one [`par_map`] task per
+    /// client, capped by `feddrl_nn::parallel::set_max_threads`) instead of
+    /// one serial `train` call. Bit-identical to the serial loop under a
+    /// fixed seed *provided* the train callback maps each client
+    /// independently — true for the session's per-client derived RNG
+    /// streams. Off by default.
     #[serde(default)]
     pub parallel_dispatch: bool,
 }
@@ -551,12 +553,12 @@ impl Dispatch {
 /// The local-training callback executors dispatch through: maps each
 /// [`Dispatch`] to its client's [`ClientUpdate`], in order. Must be
 /// `Sync`: executors with `parallel_dispatch` enabled invoke it from
-/// rayon workers, one dispatch per call.
+/// [`par_map`] workers, one dispatch per call.
 pub type TrainFn<'a> = dyn Fn(&[Dispatch]) -> Vec<ClientUpdate> + Sync + 'a;
 
 /// Run `train` over `dispatches` — serially in one call, or (when
-/// `parallel` is set) as one rayon task per client, concatenated back in
-/// input order.
+/// `parallel` is set) as one [`par_map`] task per client, concatenated back
+/// in input order.
 ///
 /// The two paths are bit-identical whenever `train` maps each client
 /// independently of the others in its slice — the contract the session's
@@ -571,10 +573,7 @@ fn dispatch_train(
     if !parallel || dispatches.len() < 2 {
         return train(dispatches);
     }
-    dispatches
-        .par_iter()
-        .map(|&d| train(&[d]))
-        .collect::<Vec<_>>()
+    par_map(dispatches, |_, &d| train(&[d]))
         .into_iter()
         .flatten()
         .collect()

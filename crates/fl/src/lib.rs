@@ -19,7 +19,7 @@
 //!   aggregation with staleness-discounted impact factors
 //!   (FedAsync/FedBuff-style), all driven by `feddrl_sim`'s
 //!   discrete-event engine;
-//! * [`session`] — the deterministic, crossbeam-parallel round loop as a
+//! * [`session`] — the deterministic, thread-parallel round loop as a
 //!   driveable object: [`session::SessionBuilder`] validates the assembled
 //!   components into a [`session::Session`] run whole ([`session::Session::run`])
 //!   or one round at a time ([`session::Session::step`]), with

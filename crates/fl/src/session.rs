@@ -13,9 +13,9 @@
 //! Per round the session: asks the [`SelectionPolicy`] for `K` of `N`
 //! clients (feeding it per-client losses, participation counts and the
 //! executor's device fleet), hands them to the configured
-//! [`RoundExecutor`] — which trains them
-//! *in parallel* (one crossbeam task per client) and decides which reports
-//! make it back, and when — then asks the [`Strategy`] for impact factors
+//! [`RoundExecutor`] — which trains them *in parallel* (one
+//! `feddrl_nn::parallel::par_map` task per client) and decides which
+//! reports make it back, and when — then asks the [`Strategy`] for impact factors
 //! over the updates that arrived, applies the weighted aggregation of
 //! Eq. 4, evaluates the new global model, and notifies every
 //! [`RoundObserver`]. Timing of the two server-side stages is recorded
@@ -540,7 +540,7 @@ impl<'a> Session<'a> {
         }
 
         // --- Round execution: the executor trains the (non-dropped)
-        // clients in parallel — one crossbeam task each — and returns the
+        // clients in parallel — one `par_map` task each — and returns the
         // updates that made it back in time.
         let global_flat = self.global.flat_params();
         let global = &self.global;

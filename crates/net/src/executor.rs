@@ -23,6 +23,11 @@
 //! [`RoundExecutor::departed_clients`], which the session hands to
 //! selection as `SelectionContext::departed`.
 //!
+//! Worker bytes are untrusted: `execute` rejects an update whose length
+//! differs from the last published model's, whose weights or losses are
+//! not finite, or that reports zero samples. A rejected update counts in
+//! [`NetTelemetry::failed_dispatches`] and the round stops waiting for it.
+//!
 //! With a [`WireMasking`] policy attached, deadline-pressed clients get
 //! sub-model dispatches over the wire: `execute` picks each client's
 //! keep ratio from the fleet's *predicted* completion times (the same
@@ -53,7 +58,7 @@ use feddrl_fl::history::HeteroRoundRecord;
 use feddrl_nn::model::Sequential;
 use feddrl_sim::device::{nearest_rank, FleetView};
 
-use crate::server::{MaskedWireInfo, NetServer, PublishStats};
+use crate::server::{InboundUpdate, MaskedWireInfo, NetServer, PublishStats};
 use crate::wire::{Message, UpdateMsg};
 
 /// How `execute` decides a round is over.
@@ -79,7 +84,8 @@ pub struct NetTelemetry {
     pub staleness: Vec<u64>,
     /// `TrainRequest` frames successfully sent.
     pub dispatched: usize,
-    /// Dispatches that failed outright (client departed or socket dead).
+    /// Dispatches that failed outright (client departed or socket dead)
+    /// or were answered by an update `execute` rejected as malformed.
     pub failed_dispatches: usize,
     /// Dispatches abandoned at the round timeout (barrier mode).
     pub timed_out: usize,
@@ -195,6 +201,9 @@ pub struct NetworkExecutor {
     version: u64,
     /// Clients with a `TrainRequest` outstanding.
     pending: BTreeMap<usize, PendingDispatch>,
+    /// Length of the model last passed to `publish_model`: the length
+    /// every accepted update must have.
+    model_len: usize,
     /// Cumulative departed count at the end of the previous round, for
     /// the per-round `departed` delta in buffered hetero records.
     departed_seen: usize,
@@ -219,6 +228,7 @@ impl NetworkExecutor {
             server_mix: 1.0,
             version: 0,
             pending: BTreeMap::new(),
+            model_len: 0,
             departed_seen: 0,
             masking: None,
             ratio_cache: BTreeMap::new(),
@@ -301,6 +311,25 @@ impl NetworkExecutor {
             .or_insert_with(|| masking.keep_ratio_for(cid))
     }
 
+    /// Whether an arrival is fit to aggregate: it has the published
+    /// model's length (a masked frame through its `total_len`), finite
+    /// weights and losses, and a positive sample count. Anything else
+    /// would panic the strategy, poison the global model or zero the
+    /// impact-factor normalization.
+    fn well_formed(&self, inbound: &InboundUpdate) -> bool {
+        let msg = &inbound.msg;
+        let len = inbound
+            .masked
+            .map_or(msg.weights.len(), |info| info.total_len);
+        len == self.model_len
+            && msg.n_samples > 0
+            && msg.loss_before.is_finite()
+            && msg.loss_after.is_finite()
+            // A branch-free fold vectorizes where a short-circuiting
+            // `all` does not: this runs over every weight of every update.
+            && msg.weights.iter().fold(true, |ok, w| ok & w.is_finite())
+    }
+
     fn to_update(msg: UpdateMsg, staleness: usize) -> ClientUpdate {
         ClientUpdate {
             client_id: msg.client_id as usize,
@@ -367,6 +396,7 @@ impl std::fmt::Debug for NetworkExecutor {
 
 impl RoundExecutor for NetworkExecutor {
     fn publish_model(&mut self, _round: usize, global: &[f32]) {
+        self.model_len = global.len();
         let _ = self.server.publish(self.version, global);
         // Mirror the server's cumulative bytes-on-wire counters into the
         // shared telemetry so they stay readable once this executor is
@@ -416,7 +446,9 @@ impl RoundExecutor for NetworkExecutor {
         };
         let deadline = round_start + self.round_timeout;
         let mut arrived: Vec<(usize, ClientUpdate)> = Vec::with_capacity(want);
-        while arrived.len() < want {
+        // A rejected arrival leaves `pending` too, so the loop also ends
+        // once nothing is left to wait for.
+        while arrived.len() < want && !self.pending.is_empty() {
             let Some(inbound) = self.server.recv_update(deadline) else {
                 break; // round timeout (or shutdown) with updates missing
             };
@@ -435,19 +467,22 @@ impl RoundExecutor for NetworkExecutor {
                 * 1e3;
             let staleness = self.version.saturating_sub(inbound.msg.model_version);
             let masked_arrival = inbound.masked.is_some();
-            let update = if let Some(info) = inbound.masked {
+            let update = if !self.well_formed(&inbound) {
+                None
+            } else if let Some(info) = inbound.masked {
                 // A masked frame with no masking policy attached (or one
                 // whose re-derived mask disagrees with its shape) cannot
-                // be scattered; drop it rather than aggregate misaligned.
-                let Some(masking) = &self.masking else {
-                    continue;
-                };
-                match Self::reassemble_masked(masking, inbound.msg, info, staleness as usize) {
-                    Some(update) => update,
-                    None => continue,
-                }
+                // be scattered.
+                self.masking.as_ref().and_then(|masking| {
+                    Self::reassemble_masked(masking, inbound.msg, info, staleness as usize)
+                })
             } else {
-                Self::to_update(inbound.msg, staleness as usize)
+                Some(Self::to_update(inbound.msg, staleness as usize))
+            };
+            let Some(update) = update else {
+                // Drop it rather than aggregate it, and count it failed.
+                failed += 1;
+                continue;
             };
             {
                 let mut t = self.telemetry.lock();

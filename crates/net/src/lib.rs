@@ -34,9 +34,9 @@
 //! automatic dense fallback). See `docs/NETWORKING.md` for the frame
 //! grammar and negotiation state machine.
 //!
-//! Concurrency is plain threads plus the repo's vendored
-//! `crossbeam`/`parking_lot` shims; there is no async runtime and no
-//! new external dependency.
+//! Concurrency is plain std threads plus the repo's vendored
+//! `parking_lot` shim; there is no async runtime and no new external
+//! dependency.
 //!
 //! ## Determinism
 //!

@@ -8,15 +8,14 @@
 //! condvar-signalled inbox drained by [`NetServer::recv_update`], and
 //! `Bye` marks permanent departure. Model broadcast
 //! ([`NetServer::publish`]) encodes the frame once and fans it out to
-//! every subscribed client over the vendored crossbeam scoped-thread
-//! shim, one writer thread per peer.
+//! every subscribed client over [`std::thread::scope`], one writer thread
+//! per peer.
 //!
 //! There is no async runtime anywhere in this crate: all concurrency is
-//! plain threads plus the repo's vendored `crossbeam`/`parking_lot`
-//! shims, keeping the PR-1 vendoring policy intact. Receive threads stay
-//! interruptible by reading with a short socket timeout and re-checking
-//! the shutdown flag between partial reads, so `shutdown` (and `Drop`)
-//! always join cleanly.
+//! plain std threads plus the repo's vendored `parking_lot` shim, keeping
+//! the vendoring policy intact. Receive threads stay interruptible by
+//! reading with a short socket timeout and re-checking the shutdown flag
+//! between partial reads, so `shutdown` (and `Drop`) always join cleanly.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -332,13 +331,13 @@ impl NetServer {
         }
         let mut dead: Vec<usize> = Vec::new();
         let total = peers.len();
-        crossbeam::scope(|s| {
+        thread::scope(|s| {
             let handles: Vec<_> = peers
                 .iter_mut()
                 .map(|(&id, peer)| {
                     let (frame, is_delta) = plan.get(&id).cloned().expect("every peer is planned");
                     let stream = &mut peer.stream;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let ok = stream
                             .write_all(&frame)
                             .and_then(|_| stream.flush())
@@ -366,8 +365,7 @@ impl NetServer {
                     }
                 }
             }
-        })
-        .expect("publish fan-out threads must not panic");
+        });
         let reached = total - dead.len();
         for id in dead {
             peers.remove(&id);
@@ -782,21 +780,6 @@ mod tests {
             }
             other => panic!("expected HelloAck, got {other:?}"),
         }
-        s
-    }
-
-    /// Subscribe like a v1-only build: bare-id `Hello`, no `HelloAck`
-    /// expected (the server must not send v2 kinds to a v1 peer).
-    fn connect_and_hello_v1(addr: SocketAddr, id: u64) -> TcpStream {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        let frame = Message::Hello {
-            client_id: id,
-            min_version: 1,
-            max_version: 1,
-        }
-        .encode_v(1);
-        s.write_all(&frame).expect("hello");
-        s.flush().expect("flush");
         s
     }
 

@@ -3,19 +3,16 @@
 use super::Layer;
 use crate::rng::Rng64;
 use crate::tensor::Tensor;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Inverted dropout: at train time each element is zeroed with probability
 /// `p` and survivors are scaled by `1/(1−p)`, so inference is the identity.
 ///
 /// VGG-11's classifier head uses dropout; the scaled-down profiles keep it
-/// available for parity. The layer owns its RNG (behind a mutex so the layer
-/// stays `Send` for crossbeam workers) and is reseeded on clone derivation
-/// by the model builder.
+/// available for parity. The layer owns its RNG, and every clone derives an
+/// independent stream from it.
 pub struct Dropout {
     p: f32,
-    rng: Arc<Mutex<Rng64>>,
+    rng: Rng64,
     mask: Option<Tensor>,
 }
 
@@ -26,11 +23,7 @@ impl Dropout {
             (0.0..1.0).contains(&p),
             "dropout p must be in [0,1), got {p}"
         );
-        Self {
-            p,
-            rng: Arc::new(Mutex::new(rng)),
-            mask: None,
-        }
+        Self { p, rng, mask: None }
     }
 
     /// Drop probability.
@@ -43,10 +36,9 @@ impl Clone for Dropout {
     fn clone(&self) -> Self {
         // Clones derive an independent stream so forked client models do not
         // share masks (sharing would correlate their SGD noise).
-        let child = self.rng.lock().derive(0x0D0D);
         Self {
             p: self.p,
-            rng: Arc::new(Mutex::new(child)),
+            rng: self.rng.derive(0x0D0D),
             mask: None,
         }
     }
@@ -61,11 +53,9 @@ impl Layer for Dropout {
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let mut mask = Tensor::zeros(x.shape());
-        {
-            let mut rng = self.rng.lock();
-            for m in mask.data_mut() {
-                *m = if rng.chance(keep as f64) { scale } else { 0.0 };
-            }
+        let rng = &mut self.rng;
+        for m in mask.data_mut() {
+            *m = if rng.chance(keep as f64) { scale } else { 0.0 };
         }
         let mut y = x.clone();
         y.mul_assign(&mask);

@@ -20,7 +20,7 @@
 //!   profiles;
 //! * [`rng::Rng64`] — deterministic xoshiro256++ randomness so whole
 //!   federated runs reproduce from one seed;
-//! * [`parallel`] — crossbeam-scoped data-parallel helpers.
+//! * [`parallel`] — data-parallel helpers on `std::thread::scope`.
 //!
 //! ## Example
 //!

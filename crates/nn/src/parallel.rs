@@ -1,9 +1,12 @@
-//! Minimal data-parallel helpers built on crossbeam scoped threads.
+//! Minimal data-parallel helpers built on [`std::thread::scope`].
 //!
 //! We deliberately avoid a global thread-pool: federated-learning runs spawn
 //! short, coarse-grained bursts of work (one task per client, or one row
-//! block per matmul), and scoped threads keep the borrow story simple while
-//! guaranteeing data-race freedom. Thread count is capped by
+//! band per matmul), and scoped threads keep the borrow story simple while
+//! guaranteeing data-race freedom. This module is the workspace's one
+//! spawning site for data parallelism: matmul row bands, the session's
+//! per-client training and the executors' `parallel_dispatch` all go
+//! through it. Thread count is capped by
 //! `std::thread::available_parallelism` and can be overridden for tests via
 //! [`set_max_threads`].
 
@@ -30,37 +33,42 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Apply `f` to disjoint mutable chunks of `data` in parallel.
+/// Apply `f` to consecutive `piece_len`-element pieces of `data`, one
+/// scoped thread per piece (the last piece may be shorter).
 ///
-/// `f(chunk_start, chunk)` receives the absolute element offset of the chunk
-/// so callers can recover global indices. Falls back to a sequential call
-/// when the work is too small to amortize thread spawning.
-pub fn par_chunks_mut<T, F>(data: &mut [T], min_chunk: usize, f: F)
+/// `f(piece_start, piece)` receives the absolute element offset of the
+/// piece so callers can recover global indices. The caller picks
+/// `piece_len`, and with it the thread count; when it covers the whole of
+/// `data`, `f` runs once on the calling thread. A panicking worker
+/// re-raises its panic here once every piece is done.
+///
+/// # Panics
+/// Panics when `piece_len` is zero.
+pub fn par_chunks_mut<T, F>(data: &mut [T], piece_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = data.len();
-    let threads = max_threads().min(len / min_chunk.max(1)).max(1);
-    if threads <= 1 {
+    assert!(piece_len > 0, "piece length must be positive");
+    if data.len() <= piece_len {
         f(0, data);
         return;
     }
-    let chunk = len.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (i, piece) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| f(i * chunk, piece));
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (i, piece) in data.chunks_mut(piece_len).enumerate() {
+            scope.spawn(move || f(i * piece_len, piece));
         }
-    })
-    .expect("parallel worker panicked");
+    });
 }
 
 /// Run one closure per item of `items` in parallel and collect the results
 /// in input order.
 ///
-/// Used for "one task per federated client" parallelism where each task is
-/// heavy (a full local-training pass), so the per-thread overhead is noise.
+/// Items are split into [`max_threads`] contiguous blocks, one thread
+/// each. Used for "one task per federated client" parallelism where each
+/// task is heavy (a full local-training pass), so the per-thread overhead
+/// is noise.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -68,28 +76,16 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let threads = max_threads().min(n);
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (block, out_block) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            let start = block * chunk;
-            scope.spawn(move |_| {
-                for (j, slot) in out_block.iter_mut().enumerate() {
-                    let i = start + j;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
+    par_chunks_mut(&mut out, n.div_ceil(threads), |start, block| {
+        for (j, slot) in block.iter_mut().enumerate() {
+            *slot = Some(f(start + j, &items[start + j]));
         }
-    })
-    .expect("parallel worker panicked");
+    });
     out.into_iter()
         .map(|r| r.expect("worker left a result slot empty"))
         .collect()
@@ -102,8 +98,9 @@ mod tests {
     #[test]
     fn par_chunks_mut_touches_every_element_once() {
         let mut data = vec![0u32; 10_000];
-        par_chunks_mut(&mut data, 16, |start, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
+        par_chunks_mut(&mut data, 2_999, |start, piece| {
+            assert!(piece.len() == 2_999 || start == 3 * 2_999, "short piece");
+            for (j, v) in piece.iter_mut().enumerate() {
                 *v += (start + j) as u32;
             }
         });
@@ -115,8 +112,9 @@ mod tests {
     #[test]
     fn par_chunks_mut_small_input_sequential() {
         let mut data = vec![1.0f32; 3];
-        par_chunks_mut(&mut data, 1024, |_, chunk| {
-            for v in chunk {
+        par_chunks_mut(&mut data, 1024, |start, piece| {
+            assert_eq!((start, piece.len()), (0, 3));
+            for v in piece {
                 *v *= 2.0;
             }
         });

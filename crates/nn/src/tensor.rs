@@ -5,8 +5,9 @@
 //! aggregation and DDPG only need 1-D/2-D (and, for convolutions, 4-D)
 //! dense arrays with a handful of BLAS-1/BLAS-3 style kernels. The matmul
 //! kernels use an `i-k-j` loop order over pre-sliced rows (auto-vectorizable,
-//! no bounds checks in the inner loop) and parallelize over row blocks with
-//! crossbeam when the problem is large enough to amortize thread spawn.
+//! no bounds checks in the inner loop) and parallelize over row bands with
+//! [`crate::parallel::par_chunks_mut`] when the problem is large enough to
+//! amortize thread spawn.
 
 use crate::rng::Rng64;
 use serde::{Deserialize, Serialize};
@@ -373,15 +374,11 @@ impl Tensor {
         };
         let threads = crate::parallel::max_threads().min(m);
         if flops >= PAR_MATMUL_FLOPS && threads > 1 {
-            // Chunks are whole rows so each worker owns a disjoint row band.
+            // Pieces are whole rows so each worker owns a disjoint row band.
             let rows_per_block = m.div_ceil(threads);
-            crossbeam::scope(|scope| {
-                for (block, out_rows) in out.data.chunks_mut(rows_per_block * n).enumerate() {
-                    let kernel = &kernel;
-                    scope.spawn(move |_| kernel(block * rows_per_block, out_rows));
-                }
-            })
-            .expect("matmul worker panicked");
+            crate::parallel::par_chunks_mut(&mut out.data, rows_per_block * n, |start, band| {
+                kernel(start / n, band)
+            });
         } else {
             kernel(0, &mut out.data);
         }
@@ -577,6 +574,23 @@ mod tests {
         let fast = a.matmul(&b);
         let slow = naive_matmul(&a, &b);
         assert_close(&fast, &slow, 1e-3);
+    }
+
+    #[test]
+    fn matmul_row_bands_are_bit_identical_to_serial_rows() {
+        let mut rng = Rng64::new(4);
+        // A prime row count, so the bands cannot split the rows evenly.
+        let (m, k, n) = (97, 80, 96);
+        assert!(m * k * n >= PAR_MATMUL_FLOPS && k * n < PAR_MATMUL_FLOPS);
+        let a = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::randn(&[k, n], 0.0, 1.0, &mut rng);
+        let banded = a.matmul(&b);
+        let stacked: Vec<u32> = (0..m)
+            .flat_map(|r| Tensor::from_vec(&[1, k], a.row(r).to_vec()).matmul(&b).data)
+            .map(f32::to_bits)
+            .collect();
+        let banded: Vec<u32> = banded.data.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(banded, stacked);
     }
 
     #[test]

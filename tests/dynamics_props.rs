@@ -871,7 +871,7 @@ fn dynamic_buffered(parallel: bool) -> ExecutorConfig {
 
 /// Parallel dispatch is byte-identical to serial under full dynamics on
 /// both executors — churn, diurnal modulation, and structured dropout do
-/// not break the per-client RNG-stream independence the rayon path relies
+/// not break the per-client RNG-stream independence the parallel path relies
 /// on. Also pins that the dynamic runs actually exercise the machinery
 /// (churn events and masked dispatches appear in the records).
 #[test]

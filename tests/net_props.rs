@@ -1,6 +1,6 @@
 //! Integration contract of the networked runtime (`feddrl_net`).
 //!
-//! Seven promises, checked at the workspace boundary: (1) the frame
+//! Eight promises, checked at the workspace boundary: (1) the frame
 //! codec round-trips every message kind — v1 and v2 — bit-exactly and
 //! rejects malformed input with *typed* errors (property-based);
 //! (2) pinned golden byte fixtures prove today's build still decodes
@@ -18,7 +18,8 @@
 //! dense fan-out; (6) wire-level masked dispatch reproduces the
 //! in-process structured-dropout session byte-for-byte with *real*
 //! local training on both sides; (7) the buffered mode measures real
-//! staleness on late arrivals.
+//! staleness on late arrivals; (8) malformed updates — truncated or
+//! non-finite — are rejected before they reach the session.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -1022,4 +1023,107 @@ fn buffered_mode_measures_staleness_of_late_arrivals() {
     for w in workers {
         w.join().expect("no panic").expect("clean worker exit");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted worker bytes
+// ---------------------------------------------------------------------------
+
+/// A raw-socket peer: subscribes at the newest protocol version and
+/// answers every `TrainRequest` with `reply(global)`, stamped with its
+/// id and the request's round, until the server hangs up.
+fn spawn_raw_peer(addr: &str, id: u64, reply: fn(&[f32]) -> UpdateMsg) -> thread::JoinHandle<()> {
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    let hello = Message::Hello {
+        client_id: id,
+        min_version: PROTOCOL_VERSION_MIN,
+        max_version: PROTOCOL_VERSION_MAX,
+    };
+    write_frame(&mut sock, &hello).expect("hello");
+    thread::spawn(move || {
+        let mut global = Vec::new();
+        while let Ok(Some(msg)) = read_frame(&mut sock) {
+            match msg {
+                Message::ModelPublish { weights, .. } => global = weights,
+                Message::TrainRequest { round, .. } => {
+                    let update = UpdateMsg {
+                        client_id: id,
+                        round,
+                        ..reply(&global)
+                    };
+                    write_frame(&mut sock, &Message::Update(update)).expect("update");
+                }
+                Message::Bye { .. } => break,
+                _ => {}
+            }
+        }
+    })
+}
+
+fn raw_update(weights: Vec<f32>) -> UpdateMsg {
+    UpdateMsg {
+        client_id: 0,
+        round: 0,
+        model_version: 0,
+        staleness: 0,
+        n_samples: 10,
+        loss_before: 1.0,
+        loss_after: 0.5,
+        weights,
+    }
+}
+
+/// A truncated update and a NaN-poisoned one never reach the session:
+/// the barrier returns the honest worker's update alone, counts the two
+/// bad ones as failed dispatches, and does not sit out the round timeout
+/// waiting for them.
+#[test]
+fn malformed_updates_are_rejected_without_waiting_out_the_round() {
+    let server = NetServerBuilder::new().build().expect("bind");
+    let addr = server.local_addr().to_string();
+    let worker_cfg = NetClientBuilder::new(addr.clone(), 0)
+        .build()
+        .expect("client config");
+    let honest = thread::spawn(move || {
+        run_client(&worker_cfg, |order, global| {
+            stub_update(order.round as usize, 0, global)
+        })
+    });
+    let truncated = spawn_raw_peer(&addr, 1, |global| {
+        raw_update(global[..global.len() / 2].to_vec())
+    });
+    let poisoned = spawn_raw_peer(&addr, 2, |global| {
+        let mut weights = global.to_vec();
+        weights[3] = f32::NAN;
+        raw_update(weights)
+    });
+    server
+        .wait_for_clients(3, Duration::from_secs(10))
+        .expect("all subscribed");
+
+    let round_timeout = Duration::from_secs(30);
+    let mut executor = NetworkExecutor::barrier(server).with_round_timeout(round_timeout);
+    let telemetry = executor.telemetry();
+    let global = vec![0.5f32; 8];
+    let noop_train: &TrainFn<'_> = &|_dispatches: &[Dispatch]| Vec::new();
+    executor.publish_model(0, &global);
+    let start = Instant::now();
+    let out = executor.execute(0, &[0, 1, 2], noop_train);
+    assert!(
+        start.elapsed() < round_timeout / 2,
+        "the barrier waited on rejected updates"
+    );
+    let ids: Vec<usize> = out.updates.iter().map(|u| u.client_id).collect();
+    assert_eq!(ids, vec![0], "only the honest update survives");
+    assert_eq!(out.updates[0].weights, stub_update(0, 0, &global).weights);
+    {
+        let t = telemetry.lock();
+        assert_eq!(t.failed_dispatches, 2);
+        assert_eq!(t.timed_out, 0);
+    }
+
+    drop(executor);
+    honest.join().expect("no panic").expect("clean worker exit");
+    truncated.join().expect("raw peer exits");
+    poisoned.join().expect("raw peer exits");
 }

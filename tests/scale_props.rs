@@ -10,7 +10,7 @@
 //!    against the per-round records (the reliability accounting law,
 //!    re-proved on the sparse type), and the table holds entries only for
 //!    clients actually dispatched.
-//! 3. **Parallel ≡ serial** — a session run with rayon-parallel client
+//! 3. **Parallel ≡ serial** — a session run with thread-parallel client
 //!    dispatch produces a byte-identical serialized history to the serial
 //!    run at the same seed (timings scrubbed, like every golden
 //!    comparison), for both the deadline and the buffered executor.
@@ -177,7 +177,7 @@ proptest! {
 }
 
 /// Contract 3: with `parallel_dispatch` the executors fan client training
-/// out over rayon; at a fixed seed the full serialized history — every
+/// out over `feddrl_nn::parallel::par_map`; at a fixed seed the full serialized history — every
 /// weight, loss, impact factor and telemetry record — must be
 /// byte-identical to the serial run's. Timings are scrubbed exactly like
 /// the golden-fixture comparisons (they measure wall clock, not the
